@@ -6,7 +6,13 @@ function). All functions take a flat edge list (src, dst) over dense ids.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+
+# In-repo copy of the reference's `test-graph.input` (FIXTURES.md §F2).
+ADJACENCY_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                                 "test-graph.input")
 
 DAMPING = 0.85
 TOLERANCE = 1e-7
@@ -19,7 +25,7 @@ def out_degrees(n: int, src: np.ndarray) -> np.ndarray:
 
 
 def cc_oracle(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """/root/reference/src/algos.rs:48-122 — min-label propagation along
+    """Reference src/algos.rs:48-122 — min-label propagation along
     OUT-edges to fixed point (directed reachability minimum)."""
     ids = np.arange(n, dtype=np.int64)
     while True:
@@ -33,7 +39,7 @@ def cc_oracle(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def bfs_oracle(n: int, src: np.ndarray, dst: np.ndarray, root: int
                ) -> tuple[np.ndarray, np.ndarray]:
-    """/root/reference/src/algos.rs:124-167 — level-synchronous BFS along
+    """Reference src/algos.rs:124-167 — level-synchronous BFS along
     out-edges; parent = min same-level in-neighbor (deterministic refinement
     of the reference's CAS race, SURVEY.md §5.3)."""
     parent = np.full(n, -1, dtype=np.int64)
@@ -60,7 +66,7 @@ def bfs_oracle(n: int, src: np.ndarray, dst: np.ndarray, root: int
 def page_rank_delta_oracle(n: int, src: np.ndarray, dst: np.ndarray,
                            max_iterations: int = 100
                            ) -> tuple[np.ndarray, int, float]:
-    """/root/reference/src/algos.rs:169-295 semantics verbatim (see
+    """Reference src/algos.rs:169-295 semantics verbatim (see
     ligrust_ray/algos/pagerank.py for the rule-by-rule citation).
     Returns (page_rank, iterations_run, last_error)."""
     outdeg = out_degrees(n, src)

@@ -1,10 +1,12 @@
 """Graph-build pipeline correctness: extraction -> ids -> edges -> CSR."""
 
 import json
+import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 import oracle
 from ligrust_ray.functions.extract import ExtractLinks
@@ -97,8 +99,22 @@ def test_adjacency_text_parity(tmp_path):
 
 
 def test_reference_fixture_file():
-    e = adjacency_text_to_edges("/root/reference/test-graph.input")
+    e = adjacency_text_to_edges(oracle.ADJACENCY_FIXTURE)
     assert list(zip(e["src"].to_pylist(), e["dst"].to_pylist())) == [(0, 1), (2, 3)]
+
+
+_REFERENCE_INPUT = "/root/reference/test-graph.input"
+
+
+@pytest.mark.skipif(not os.path.exists(_REFERENCE_INPUT),
+                    reason="reference checkout not present")
+def test_vendored_fixture_matches_reference():
+    """The in-repo fixture must parse exactly as the reference's own file."""
+    n, m, off, tgt = read_adjacency_text(oracle.ADJACENCY_FIXTURE)
+    rn, rm, roff, rtgt = read_adjacency_text(_REFERENCE_INPUT)
+    assert (n, m) == (rn, rm)
+    np.testing.assert_array_equal(off, roff)
+    np.testing.assert_array_equal(tgt, rtgt)
 
 
 def test_streaming_adjacency_reader_parity(ray_session, tmp_path):
@@ -128,7 +144,7 @@ def test_streaming_adjacency_reader_parity(ray_session, tmp_path):
     assert df.equals(rdf)
 
     tables = list(adjacency_text_to_edges_stream(
-        "/root/reference/test-graph.input", batch_edges=1))
+        oracle.ADJACENCY_FIXTURE, batch_edges=1))
     got = pa.concat_tables(tables)
     assert list(zip(got["src"].to_pylist(), got["dst"].to_pylist())) == \
         [(0, 1), (2, 3)]

@@ -54,8 +54,8 @@ def test_roundtrip_arrays(tmp_path):
 
 def test_dump_from_graph_dir_matches_direct(ray_session, tmp_path):
     """dump(build(edges)) must equal write(csr(edges)) byte-for-byte."""
-    e = adjacency_text_to_edges("/root/reference/test-graph.input")
-    n = read_adjacency_text("/root/reference/test-graph.input")[0]
+    e = adjacency_text_to_edges(oracle.ADJACENCY_FIXTURE)
+    n = read_adjacency_text(oracle.ADJACENCY_FIXTURE)[0]
     gdir = str(tmp_path / "g")
     build_graph_from_edges(e, gdir, n=n, num_partitions=3)
     f1 = str(tmp_path / "dumped.bin")

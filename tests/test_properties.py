@@ -1,5 +1,5 @@
 """Property-based conformance (SURVEY.md §5.2 #3-4, mirroring the
-reference's quickcheck usage at /root/reference/src/ligra.rs:308-340):
+reference's quickcheck usage at src/ligra.rs:308-340):
 random digraphs -> engine == oracle invariants, idempotence, and
 determinism across partition counts."""
 
