@@ -188,6 +188,10 @@ def maximal_matching(edges: "ray.data.Dataset | pa.Table",
             surv, mv, l_on="b", r_on="node", anti=True,
             num_partitions=num_partitions, l_schema=_EDGE_SCHEMA,
             r_key_type=pa.int64()).materialize()
+        # each co_group/semi_join round multiplies the carried block
+        # count (~7x here), and every sort shuffle pays per block pair —
+        # coalesce the carried set so round cost stays bounded
+        active = shuffle.coalesce_blocks(active, _EDGE_SCHEMA).materialize()
     else:
         if active.count():
             raise RuntimeError(

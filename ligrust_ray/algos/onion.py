@@ -227,21 +227,23 @@ def _onion_distributed(pairs: ray.data.Dataset, max_rounds: int,
                               r_key_type=pa.int64()),
             nodes, l_on="hi", r_on="v",
             r_key_type=pa.int64()).materialize()
-        # the truss-loop lesson applied here: the per-round co_group/
-        # semi_join outputs compound block counts ~3x per round, which
-        # measured EXPONENTIAL wall time on >3-round peels — coalesce
-        # the carried datasets to bounded blocks every round
-        alive = shuffle.coalesce_blocks(
-            alive, pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
-        ).materialize()
-        nodes = shuffle.coalesce_blocks(
-            nodes, pa.schema([("v", pa.int64())])).materialize()
         if checkpoint_dir is not None:
             alive, nodes, out_r = _onion_ckpt_write(
                 checkpoint_dir, r, alive, nodes, outs[-1], k, m, fp)
-            alive = alive.materialize()
-            nodes = nodes.materialize()
             outs[-1] = out_r
+        # the truss-loop lesson applied here: the per-round co_group/
+        # semi_join outputs compound block counts ~3x per round, which
+        # measured EXPONENTIAL wall time on >3-round peels — coalesce
+        # the carried datasets to bounded blocks every round (after the
+        # checkpoint re-read too: read_parquet splits each file into
+        # several blocks)
+        alive = shuffle.coalesce_blocks(
+            alive.materialize(),
+            pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
+        ).materialize()
+        nodes = shuffle.coalesce_blocks(
+            nodes.materialize(), pa.schema([("v", pa.int64())])
+        ).materialize()
     if nodes.count():
         raise RuntimeError(
             f"onion_layers: no fixed point in {max_rounds} rounds")

@@ -476,15 +476,22 @@ def coalesce_blocks(ds: ray.data.Dataset, schema: pa.Schema,
     loops otherwise compound block counts ~3x per round, which measures
     EXPONENTIAL wall time (each round's fixed per-block dispatch scales
     with the inflated count). Call once per loop round on the carried
-    datasets."""
+    datasets.
+
+    Blocks are also merged while they are under Ray's
+    ``target_min_block_size``: a small carried set becomes ONE block, so
+    the next round's sort shuffles run one map/reduce task each instead
+    of ``max_blocks`` near-empty ones."""
     import pickle
 
-    refs = [r for bu in ds.iter_internal_ref_bundles()
-            for r in bu.block_refs]
-    if len(refs) <= max_blocks:
+    bundles = list(ds.iter_internal_ref_bundles())
+    refs = [r for bu in bundles for r in bu.block_refs]
+    size = sum(bu.size_bytes() for bu in bundles)
+    min_block = ray.data.DataContext.get_current().target_min_block_size
+    target = max(1, min(max_blocks, -(-size // min_block)))
+    if len(refs) <= target:
         return ds
-    groups = np.array_split(np.arange(len(refs)),
-                            min(max_blocks, len(refs)))
+    groups = np.array_split(np.arange(len(refs)), target)
     types_ser = pickle.dumps([f.type for f in schema])
     return ray.data.from_arrow_refs(
         [_concat_block_group.remote([refs[i] for i in g],

@@ -236,3 +236,28 @@ def test_hash_join_left_preserves_big_int64(ray_session):
         .to_pandas().sort_values("k").reset_index(drop=True)
     assert got["rv"].tolist() == [big, 0]
     assert got["rv"].dtype == np.int64
+
+
+def test_coalesce_blocks_bounds_block_count(ray_session):
+    """Small carried sets collapse to one block; sets past the minimum
+    block size keep several, never more than ``max_blocks``. Row order
+    and typed columns survive both."""
+    import pyarrow as pa
+
+    sch = pa.schema([("x", pa.int64())])
+    small = ray.data.from_arrow([
+        pa.table({"x": pa.array(np.arange(i * 10, i * 10 + 10))},
+                 schema=sch) for i in range(40)]).materialize()
+    got = shuffle.coalesce_blocks(small, sch).materialize()
+    assert got.num_blocks() == 1
+    assert got.to_pandas()["x"].tolist() == list(range(400))
+
+    rows = 1 << 20                  # 8 MiB of int64 across 64 blocks
+    big = ray.data.from_arrow([
+        pa.table({"x": pa.array(np.arange(rows // 64) + i * (rows // 64))},
+                 schema=sch) for i in range(64)]).materialize()
+    got = shuffle.coalesce_blocks(big, sch, max_blocks=32).materialize()
+    assert 1 < got.num_blocks() <= 32
+    out = got.to_pandas()["x"].to_numpy()
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, np.arange(rows))
